@@ -17,7 +17,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..simulation.conditions import TICK
 from ..simulation.fifo import Fifo
-from ..simulation.memory import MemoryPort
+from ..simulation.memory import MemoryPort, stream
 
 
 def gemv_kernel(
@@ -43,22 +43,13 @@ def gemv_kernel(
         raise ConfigurationError("GEMV needs at least one memory port")
     n_ports = len(ports)
     chunk = -(-n_cols // n_ports)  # columns handled per bank, ceil
+    # All banks stream their column stripe *concurrently*, so the row
+    # read time is ceil(stripe / bank_width) cycles — the aggregate
+    # bandwidth of all attached banks.
+    counts = [max(0, min(n_cols, (p + 1) * chunk) - p * chunk)
+              for p in range(n_ports)]
     for i in range(n_rows):
-        # All banks stream their column stripe *concurrently*: each cycle
-        # the kernel pulls up to bank-width elements from every stripe, so
-        # the row read time is ceil(stripe / bank_width) cycles — the
-        # aggregate bandwidth of all attached banks.
-        remaining = [
-            max(0, min(n_cols, (p + 1) * chunk) - p * chunk)
-            for p in range(n_ports)
-        ]
-        while any(remaining):
-            for p, port in enumerate(ports):
-                if remaining[p]:
-                    granted = port.bank.grant(remaining[p])
-                    remaining[p] -= granted
-                    port.elements_read += granted
-            yield TICK
+        yield from stream(ports, counts)
         row = A[i]
         value = scale * float(row @ x)
         while not out.writable:

@@ -54,7 +54,8 @@ def run_single_sim(
 
     Returns (y, elapsed_us). Both GEMVs run on rank 0 and contend for the
     same DRAM banks (half the banks each, modelling the shared-bandwidth
-    bottleneck of Fig. 12 left).
+    bottleneck of Fig. 12 left; with a single bank both kernels open
+    their own port on it and share its budget cycle by cycle).
     """
     n = A.shape[0]
     prog = SMIProgram(bus(2), config=config, memory=memory)
@@ -63,7 +64,7 @@ def run_single_sim(
         half = max(1, len(smi.memory.banks) // 2)
         ports_a = [smi.memory.port(i, f"gemvA{i}") for i in range(half)]
         ports_b = [smi.memory.port(i, f"gemvB{i}")
-                   for i in range(half, len(smi.memory.banks))] or ports_a
+                   for i in range(half, len(smi.memory.banks)) or range(half)]
         ya = smi.engine.fifo("ya", capacity=8)
         yb = smi.engine.fifo("yb", capacity=8)
         result: list = []

@@ -24,12 +24,9 @@ defaults to ``None``, so with tracing off no event is built, cycles
 stay bit-identical, and wall clock stays within noise (the smoke
 benchmark records ``trace_overhead_off`` to keep that honest).
 
-The per-engine recorder (``engine.trace``) is authoritative — the
-in-process sharded backend runs several engines per interpreter, so
-recorder state cannot be global. The module-level API below
-(:func:`install` / :func:`emit`) is a convenience handle over the
-*current* recorder for code without an engine reference; it is a no-op
-while nothing is installed.
+The recorder is per engine (``engine.trace``): the in-process sharded
+backend runs several engines per interpreter, so recorder state cannot
+be global.
 """
 
 from __future__ import annotations
@@ -41,36 +38,10 @@ from .recorder import EVENT_KINDS, TraceRecorder
 
 __all__ = [
     "EVENT_KINDS", "MetricsRegistry", "TIMING_FIELDS", "TraceRecorder",
-    "WALL_PHASES", "emit", "install", "installed", "merge_segments",
-    "merge_snapshots", "new_phase", "recorder_from_config", "to_jsonl",
-    "to_perfetto", "validate_timing", "write_trace",
+    "WALL_PHASES", "merge_segments", "merge_snapshots", "new_phase",
+    "recorder_from_config", "to_jsonl", "to_perfetto", "validate_timing",
+    "write_trace",
 ]
-
-#: The currently-installed module-level recorder (or ``None`` = no-op).
-_RECORDER: TraceRecorder | None = None
-
-
-def install(recorder: TraceRecorder | None) -> TraceRecorder | None:
-    """Install (or clear, with ``None``) the module-level recorder.
-
-    Returns the previous recorder so callers can restore it.
-    """
-    global _RECORDER
-    prev = _RECORDER
-    _RECORDER = recorder
-    return prev
-
-
-def installed() -> TraceRecorder | None:
-    """The module-level recorder, or ``None`` when tracing is off."""
-    return _RECORDER
-
-
-def emit(cycle: int, kind: str, track: str, name: str,
-         dur: int = 0, args: dict | None = None) -> None:
-    """Emit through the module-level recorder; no-op when none installed."""
-    if _RECORDER is not None:
-        _RECORDER.emit(cycle, kind, track, name, dur, args)
 
 
 def recorder_from_config(config, shard: int = 0) -> TraceRecorder | None:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import gesummv
 from repro.apps.blas import gesummv_reference
 from repro.apps.gesummv import GesummvModel, run_distributed_sim, run_single_sim
-from repro.core.config import MemoryConfig
+from repro.core import program
+from repro.core.config import NOCTUA, MemoryConfig
+from repro.simulation.memory import BoardMemory
 
 
 def _random_problem(n, seed=0, m=None):
@@ -68,6 +71,42 @@ def test_distributed_speedup_when_memory_bound():
     _, t_single = run_single_sim(1.0, 1.0, A, B, x)
     _, t_dist = run_distributed_sim(1.0, 1.0, A, B, x)
     assert t_single / t_dist > 1.6
+
+
+def test_single_fpga_one_bank_kernels_share_it(monkeypatch):
+    # With one bank both GEMVs open their own port on it: the bank is
+    # shared, so its budget is split cycle by cycle, first come first
+    # served. Pinned to the per-cycle model's figures.
+    boards = []
+
+    class RecordingBoard(BoardMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            boards.append(self)
+
+    monkeypatch.setattr(program, "BoardMemory", RecordingBoard)
+    A, B, x = _random_problem(100, seed=6)
+    y, us = run_single_sim(1.0, 2.0, A, B, x,
+                           memory=MemoryConfig(num_banks=1))
+    np.testing.assert_allclose(y, gesummv_reference(1.0, 2.0, A, B, x),
+                               rtol=1e-4)
+    assert us == pytest.approx(4.1408, abs=1e-9)
+    bank = boards[0].banks[0]
+    assert bank.name == "rank0.ddr0"
+    assert (bank.total_granted, bank.busy_cycles) == (20000, 1280)
+
+
+def test_distributed_fig13_size_pinned():
+    # Fig. 13's smallest point at full size: n = 2048 on 2 FPGAs.
+    # Non-negative inputs, as in the benchmark: float32 dot products
+    # without cancellation, so a relative tolerance is meaningful.
+    rng = np.random.default_rng(7)
+    A, B = rng.random((2, 2048, 2048), dtype=np.float32)
+    x = rng.random(2048, dtype=np.float32)
+    y, us = run_distributed_sim(1.5, 0.75, A, B, x)
+    assert us == pytest.approx(NOCTUA.cycles_to_us(67_839), rel=1e-9)
+    np.testing.assert_allclose(y, gesummv.reference(1.5, 0.75, A, B, x),
+                               rtol=1e-4)
 
 
 # ----------------------------------------------------------------------

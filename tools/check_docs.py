@@ -42,6 +42,7 @@ REQUIRED_ARCHITECTURE_HEADINGS = (
     "Sharded execution & time sync",
     "Boundary wire format & shared-memory rings",
     "Observability & tracing",
+    "DRAM bank model",
     "Invariants the test suite pins",
 )
 
