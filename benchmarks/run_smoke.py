@@ -26,7 +26,7 @@ script:
 * a tracing-overhead point: the canonical deep 1-hop stream run with
   the flight recorder off and on (``HardwareConfig.trace``), with
   cycle-exactness enforced and the wall-clock ratio recorded
-  (``trace_overhead_off``, record-only); the traced arm also writes
+  (``trace_off_on_ratio``, record-only); the traced arm also writes
   ``BENCH_trace_sample.json``, a Perfetto-loadable sample trace CI
   uploads as an artifact;
 * a sharded-backend sweep over two workloads — the legacy 8-rank
@@ -248,7 +248,7 @@ def run_trace_points(n, repeats, sample_out=None):
     """Flight-recorder cost on the canonical deep 1-hop stream.
 
     Runs the same stream with tracing off and on.
-    ``trace_overhead_off`` is ``wall_s_off / wall_s_on`` — how much
+    ``trace_off_on_ratio`` is ``wall_s_off / wall_s_on`` — how much
     faster the untraced run is (record-only: the zero-overhead-off
     *cycle* contract is what the equivalence suites gate; this tracks
     the wall-clock cost of turning the recorder on). Cycle counts must
@@ -276,7 +276,7 @@ def run_trace_points(n, repeats, sample_out=None):
         "cycle_exact": cycles_off == cycles_on,
         "wall_s_off": round(wall_off, 4),
         "wall_s_on": round(wall_on, 4),
-        "trace_overhead_off": round(wall_off / max(wall_on, 1e-9), 4),
+        "trace_off_on_ratio": round(wall_off / max(wall_on, 1e-9), 4),
     }]
 
 
@@ -502,7 +502,7 @@ def build_headline(points):
                 p["macro_chain_len"]
     for p in points:
         if p["kind"] == "trace_stream":
-            headline["trace_overhead_off"] = p["trace_overhead_off"]
+            headline["trace_off_on_ratio"] = p["trace_off_on_ratio"]
     headline.update(_perfmodel_residuals(points))
     return headline
 
@@ -618,7 +618,7 @@ def main(argv=None) -> int:
                   f"n={p['elements']:7d}  "
                   f"cycles={p['cycles_on']:9d} exact={p['cycle_exact']}  "
                   f"off={p['wall_s_off']:.3f}s on={p['wall_s_on']:.3f}s "
-                  f"ratio={p['trace_overhead_off']:.2f}")
+                  f"ratio={p['trace_off_on_ratio']:.2f}")
             continue
         if p["kind"] == "macro_stream":
             planner = p["planner"]

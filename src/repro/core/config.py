@@ -178,12 +178,14 @@ class HardwareConfig:
         performance knob. The 1 MiB default holds thousands of epochs
         of typical boundary traffic.
     shard_inner_rounds:
-        Maximum self-paced exchange iterations a shared-memory worker
-        runs per coordinator round. Within one iteration a worker
-        drains its rings, recomputes its own conservative bound from
-        the freshest floors, runs to it, and publishes — so deeper
-        values amortise coordinator round-trips further; the cap keeps
-        global termination/deadlock checks (which need a barrier)
+        Maximum self-paced exchange iterations — *slices* — a
+        shared-memory worker runs per coordinator round. Within one
+        slice a worker drains its rings, recomputes its own
+        conservative bound from the freshest floors, runs at most
+        ``min cut-link latency // 8`` cycles past its next event (never
+        past the bound), and publishes — so peers overlap with it, and
+        deeper values amortise coordinator round-trips further; the cap
+        keeps global termination/deadlock checks (which need a barrier)
         regularly scheduled.
     trace:
         Cycle-domain tracing (see :mod:`repro.trace`): when True every
@@ -195,8 +197,9 @@ class HardwareConfig:
         ship per-worker segments to the coordinator for a single
         merged timeline). Off by default; the off path is one ``is
         not None`` check per instrumented site, so cycles stay
-        bit-identical and wall clock stays within noise (the fuzz
-        suite and the smoke ``trace_overhead_off`` headline pin both).
+        bit-identical (the fuzz suite pins them). The smoke
+        ``trace_off_on_ratio`` headline (wall off / wall on) records
+        what turning tracing *on* costs.
     trace_buffer_events:
         Flight-recorder ring capacity in events (per engine). When
         full the oldest events are overwritten (and counted), so long

@@ -23,7 +23,8 @@ selected by ``HardwareConfig.backend``:
   selected by ``HardwareConfig.shard_transport``: per-boundary
   shared-memory rings (``"shm"``, the default where available), where
   workers self-pace mid-epoch — draining peers' floors and publishing
-  their own as soon as they are proven, without waiting for a
+  their own after every short slice of simulated time, so neighbouring
+  shards run at once instead of taking turns, without waiting for a
   coordinator barrier — or the coordinator pipe (``"pipe"``), which
   keeps the PR-5 round discipline with the pickle cost removed. Fork
   (not spawn) start is required: the shard runtimes — application
@@ -51,7 +52,7 @@ import contextlib
 import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, sleep
 
 from ..core.comm import SMIComm
 from ..core.config import HardwareConfig
@@ -76,6 +77,14 @@ from .wire import (
     unpack_record,
 )
 
+#: A shared-memory worker publishes every ``min cut-link latency //
+#: SLICES_PER_LATENCY`` simulated cycles (27 on 219-cycle links).
+SLICES_PER_LATENCY = 8
+#: An idle worker waits this long for a peer's record before it
+#: reports to the coordinator barrier, sleeping ``IDLE_POLL_S`` per poll.
+IDLE_WAIT_S = 5e-3
+IDLE_POLL_S = 50e-6
+
 
 @dataclass
 class FinalReport:
@@ -90,8 +99,9 @@ class FinalReport:
     #: lanes and ``shard_timing_summary`` both consume it):
     #: ``compute_s`` (engine ``run_until``), ``serialize_s`` (record
     #: codec + ring/pipe blob work), ``ipc_wait_s`` (blocked on the
-    #: control pipe), plus ``inner_rounds`` (self-paced exchange
-    #: iterations) and ``outer_rounds`` (coordinator commands served).
+    #: control pipe, or idle-waiting for a peer's ring record), plus
+    #: ``inner_rounds`` (self-paced exchange iterations) and
+    #: ``outer_rounds`` (coordinator commands served).
     timing: dict = field(default_factory=new_phase)
     #: The shard's flight-recorder segment
     #: (:meth:`repro.trace.TraceRecorder.segment`) when tracing is on,
@@ -124,6 +134,7 @@ class _ShardLinks:
         self.horizon: dict = {}    # incoming cut links (this shard is dst)
         self.ack_floor: dict = {}  # outgoing cut links (this shard is src)
         self.slack: dict = {}      # own published tx self-sufficiency
+        latencies = []
         for ch in channels:
             if ch.src_shard == index:
                 self.out_ship[ch.key] = fabric.ship_rings[ch.key]
@@ -134,6 +145,12 @@ class _ShardLinks:
                 self.in_ship[ch.key] = fabric.ship_rings[ch.key]
                 self.out_ack[ch.key] = fabric.ack_rings[ch.key]
                 self.horizon[ch.key] = ch.horizon
+            if index in (ch.src_shard, ch.dst_shard):
+                latencies.append(ch.latency)
+        #: Cycles simulated between publications (see ``slice_target``).
+        self.slice = (max(1, min(latencies) // SLICES_PER_LATENCY)
+                      if latencies else FOREVER)
+        self._inbound = [*self.in_ack.values(), *self.in_ship.values()]
         self._backlog: dict = {}
         self._last_pub: dict = {}
 
@@ -185,6 +202,37 @@ class _ShardLinks:
             if rev < bound:
                 bound = rev
         return bound
+
+    def slice_target(self, bound: int, next_cycle: int | None) -> int:
+        """The next slice's end: never beyond the conservative bound.
+
+        A slice runs ``slice`` cycles past the next pending event
+        (``next_cycle``; ``None`` when the engine is idle). Publishing after every short slice lets a peer start on this
+        shard's output while this shard still runs, instead of seeing
+        nothing until the whole bound is simulated.
+        """
+        if next_cycle is None:
+            return bound
+        target = next_cycle + self.slice
+        return target if target < bound else bound
+
+    def wait_inbound(self, timeout: float) -> bool:
+        """Sleep-poll the inbound rings until one holds a record.
+
+        Returns True as soon as a record is readable, False once
+        ``timeout`` seconds pass without one. Polls sleep
+        ``IDLE_POLL_S`` rather than yield, so an idle worker leaves the
+        core to the peer it is waiting for.
+        """
+        rings = self._inbound
+        deadline = perf_counter() + timeout
+        while True:
+            for ring in rings:
+                if ring.has_record():
+                    return True
+            if perf_counter() >= deadline:
+                return False
+            sleep(IDLE_POLL_S)
 
     # -- outbound -----------------------------------------------------
     def publish(self, runtime: "_ShardRuntime", bound: int,
@@ -365,11 +413,16 @@ class _ShardRuntime:
         Each iteration drains the rings (floors ride inside the
         records, so everything drained is sound to use immediately),
         recomputes this shard's conservative bound from the freshest
-        mirrors, runs the engine to it, and publishes what the epoch
-        committed. The loop ends when an iteration makes no progress —
-        nothing applied, nothing executed, bound not advanced — or
-        after ``shard_inner_rounds`` iterations, so the coordinator's
-        global termination/deadlock barrier runs regularly.
+        mirrors, runs the engine one short *slice* towards it (see
+        :meth:`_ShardLinks.slice_target`), and publishes what the slice
+        committed — so peers work on this shard's output while it keeps
+        running. When an iteration makes no progress — nothing applied,
+        nothing executed, bound not advanced — a shard with live
+        workers sleep-waits up to ``IDLE_WAIT_S`` for a peer's record
+        (counted as ``ipc_wait_s``) and carries on if one arrives;
+        otherwise the loop ends. It also ends after
+        ``shard_inner_rounds`` iterations, so the coordinator's global
+        termination/deadlock barrier runs regularly.
         """
         engine = self.engine
         if watermark > engine.stats_fold_limit:
@@ -379,16 +432,17 @@ class _ShardRuntime:
         trace = engine.trace
         total_executed = shipped = delivered = 0
         reason = "bound"
-        bound = 0
+        bound = target = 0
         prev_bound = -1
         for _ in range(self.inner_limit):
             t0 = perf_counter()
             applied = links.drain(self)
             bound = links.compute_bound(cap)
+            target = links.slice_target(bound, engine.next_pending_cycle())
             t1 = perf_counter()
-            reason, executed = engine.run_until(bound)
+            reason, executed = engine.run_until(target)
             t2 = perf_counter()
-            pushed = links.publish(self, bound, {})
+            pushed = links.publish(self, target, {})
             t3 = perf_counter()
             phase["serialize_s"] += (t1 - t0) + (t3 - t2)
             phase["compute_s"] += t2 - t1
@@ -406,7 +460,16 @@ class _ShardRuntime:
             total_executed += executed
             shipped += pushed
             if not applied and not executed and bound <= prev_bound:
-                break
+                if not engine.live_workers:
+                    break
+                t0 = perf_counter()
+                woke = links.wait_inbound(IDLE_WAIT_S)
+                t1 = perf_counter()
+                phase["ipc_wait_s"] += t1 - t0
+                if trace is not None:
+                    trace.wall_span("ipc_wait", t0, t1)
+                if not woke:
+                    break
             prev_bound = bound
         phase["outer_rounds"] += 1
         return EpochReport(
@@ -417,7 +480,7 @@ class _ShardRuntime:
             worker_floor=engine.live_worker_floor({}),
             shipped=shipped,
             delivered=delivered,
-            bound_reached=bound,
+            bound_reached=target,
         )
 
     def epoch_drain(self, end: int, watermark: int) -> EpochReport:

@@ -322,6 +322,10 @@ class ShmRing:
         self._ctrl[0] = head + need  # publish after the body is visible
         return True
 
+    def has_record(self) -> bool:
+        """True when a record is waiting (a cheap, non-consuming poll)."""
+        return int(self._ctrl[0]) != int(self._ctrl[1])
+
     def try_pop(self) -> bytes | None:
         """Remove and return the oldest record, or None when empty."""
         tail = int(self._ctrl[1])

@@ -20,9 +20,9 @@ Three pieces (see ``docs/ARCHITECTURE.md#observability--tracing``):
 **Zero-overhead-off contract.** Tracing is off unless
 ``HardwareConfig.trace`` is set: every instrumented site guards its
 emit behind one ``is not None`` check of a recorder attribute that
-defaults to ``None``, so with tracing off no event is built, cycles
-stay bit-identical, and wall clock stays within noise (the smoke
-benchmark records ``trace_overhead_off`` to keep that honest).
+defaults to ``None``, so with tracing off no event is built and cycles
+stay bit-identical. The smoke benchmark's ``trace_off_on_ratio`` (wall
+off / wall on) records what turning tracing *on* costs.
 
 The recorder is per engine (``engine.trace``): the in-process sharded
 backend runs several engines per interpreter, so recorder state cannot

@@ -32,6 +32,9 @@ from repro.codegen.metadata import OpDecl
 from repro.core.errors import ConfigurationError, TopologyError
 from repro.core.ops import SMI_ADD
 from repro.shard import Partition, partition_topology, validate_cut
+from repro.shard.backend import _ShardLinks
+from repro.shard.timesync import BoundaryChannel
+from repro.shard.wire import ShmFabric
 from repro.simulation import Engine
 from repro.simulation.conditions import WaitCycles
 
@@ -542,6 +545,134 @@ def test_process_backend_tiny_rings_split_and_backlog():
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
     assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+
+
+def _uniform_stream(config, num_ranks=16, n=2048):
+    """Every rank streams ``n`` floats to its right neighbour at once.
+
+    Each shard of a contiguous cut is busy for the whole run, with
+    boundary traffic both ways on every cut (data forward, acks back):
+    the case where sliced publication lets shards overlap.
+    """
+    prog = SMIProgram(bus(num_ranks), config=config)
+    data = np.arange((num_ranks - 1) * n, dtype=np.float32).reshape(
+        num_ranks - 1, n)
+
+    def sender(smi):
+        ch = smi.open_send_channel(n, SMI_FLOAT, smi.rank + 1, 0)
+        yield from ch.push_vec(data[smi.rank], width=8)
+
+    def receiver(smi):
+        ch = smi.open_recv_channel(n, SMI_FLOAT, smi.rank - 1, 0)
+        out = yield from ch.pop_vec(n, width=8)
+        smi.store("sum", float(np.sum(out)))
+        smi.store("end", smi.cycle)
+
+    for rank in range(num_ranks):
+        if rank < num_ranks - 1:
+            prog.add_kernel(sender, rank=rank, name="tx",
+                            ops=[OpDecl("send", 0, SMI_FLOAT, peer=rank + 1)])
+        if rank > 0:
+            prog.add_kernel(receiver, rank=rank, name="rx",
+                            ops=[OpDecl("recv", 0, SMI_FLOAT, peer=rank - 1)])
+    res = prog.run(max_cycles=50_000_000)
+    assert res.completed, res.reason
+    return res
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("shards", [2, 4])
+def test_process_backend_all_busy_uniform_stream(transport, shards):
+    ref = _uniform_stream(NOCTUA_DEEP)
+    fast = _uniform_stream(NOCTUA_DEEP.with_(backend="process", shards=shards,
+                                             shard_transport=transport))
+    assert fast.cycles == ref.cycles
+    assert fast.stores == ref.stores
+    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+
+
+# ----------------------------------------------------------------------
+# Shared-memory worker pacing: slices and the idle ring wait
+# ----------------------------------------------------------------------
+def _links(index, latencies, ring_bytes=4096):
+    """Shard ``index``'s ring view of a 3-shard bus, one link per hop.
+
+    ``latencies`` gives the cut links 0->1, 1->0, 1->2 and 2->1.
+    """
+    ends = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    channels = [
+        BoundaryChannel(key=(i, 0), src_shard=src, dst_shard=dst,
+                        latency=lat)
+        for i, ((src, dst), lat) in enumerate(zip(ends, latencies))
+    ]
+    fabric = ShmFabric([ch.key for ch in channels], ring_bytes)
+    return _ShardLinks(index, channels, fabric), fabric
+
+
+def test_ring_has_record_query():
+    links, fabric = _links(1, [219] * 4)
+    try:
+        ring = fabric.ship_rings[(0, 0)]
+        assert not ring.has_record()
+        assert ring.try_push(b"rec")
+        assert ring.has_record()
+        assert ring.has_record()  # polling does not consume
+        assert ring.try_pop() == b"rec"
+        assert not ring.has_record()
+    finally:
+        fabric.close()
+
+
+def test_wait_inbound_returns_at_once_on_a_record():
+    links, fabric = _links(1, [219] * 4)
+    try:
+        # An ack for 1->2 is inbound to shard 1, like a ship on 0->1.
+        fabric.ack_rings[(2, 0)].try_push(b"ack")
+        t0 = time.perf_counter()
+        assert links.wait_inbound(1.0)
+        assert time.perf_counter() - t0 < 0.5
+    finally:
+        fabric.close()
+
+
+def test_wait_inbound_gives_up_after_the_deadline():
+    links, fabric = _links(1, [219] * 4)
+    try:
+        # Records on shard 1's own outbound rings do not wake it.
+        fabric.ship_rings[(1, 0)].try_push(b"own")
+        fabric.ship_rings[(2, 0)].try_push(b"own")
+        timeout = 0.02
+        t0 = time.perf_counter()
+        assert not links.wait_inbound(timeout)
+        assert time.perf_counter() - t0 >= timeout
+    finally:
+        fabric.close()
+
+
+def test_slice_target_uses_smallest_cut_latency_and_respects_bound():
+    # Shard 0 touches only 0->1 and 1->0: the 40-cycle link is not its.
+    links, fabric = _links(0, [219, 100, 40, 219])
+    fabric.close()
+    assert links.slice == 100 // 8
+    links, fabric = _links(1, [219, 100, 40, 219])
+    fabric.close()
+    assert links.slice == 40 // 8
+    links, fabric = _links(2, [219] * 4)
+    fabric.close()
+    assert links.slice == 27  # the benchmark's 219-cycle links
+    assert links.slice_target(1000, 500) == 527
+    assert links.slice_target(1000, None) == 1000  # idle: run to the bound
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        bound = int(rng.integers(0, 5000))
+        nxt = int(rng.integers(0, 6000))
+        target = links.slice_target(bound, nxt)
+        assert target <= bound
+        assert target == min(bound, nxt + 27)
+    links, fabric = _links(0, [1, 1, 1, 1])
+    fabric.close()
+    assert links.slice == 1  # never a zero-length slice
 
 
 # ----------------------------------------------------------------------
